@@ -52,6 +52,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/cmd/internal/ringproc"
 	"repro/internal/appstore"
 	"repro/internal/defense"
 	"repro/internal/simrand"
@@ -149,7 +150,7 @@ func run() int {
 		return 2
 	}
 
-	var harness *ringHarness
+	var harness *ringproc.Ring
 	if cfg.ring > 0 {
 		if cfg.vetdBin == "" || cfg.routerBin == "" {
 			fmt.Fprintln(os.Stderr, "vetload: -ring requires -vetd-bin and -router-bin")
@@ -170,7 +171,7 @@ func run() int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vetload: corpus: %v\n", err)
 		if harness != nil {
-			harness.stopAll()
+			harness.StopAll()
 		}
 		return 1
 	}
@@ -190,7 +191,7 @@ func run() int {
 	}
 
 	if harness != nil && cfg.chaos > 0 {
-		harness.startChaos(cfg)
+		harness.StartChaos(cfg.seed, cfg.chaos, math.MaxInt) // until the replay ends
 	}
 	samples := make([]sample, cfg.clients)
 	start := time.Now()
@@ -205,13 +206,13 @@ func run() int {
 	wg.Wait()
 	elapsed := time.Since(start)
 	if harness != nil {
-		harness.stopChaos()
+		harness.StopChaos(0)
 	}
 
 	code := report(cfg, samples, elapsed, client)
 	if harness != nil {
-		fmt.Printf("vetload: chaos: %d peer kill/restart cycles\n", harness.kills)
-		if err := harness.shutdown(); err != nil {
+		fmt.Printf("vetload: chaos: %d peer kill/restart cycles\n", harness.Kills())
+		if err := harness.Shutdown(); err != nil {
 			fmt.Fprintf(os.Stderr, "vetload: ring shutdown: %v\n", err)
 			return 1
 		}

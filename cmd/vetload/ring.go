@@ -12,260 +12,32 @@ package main
 // process fails the run.
 
 import (
-	"bufio"
-	"fmt"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"strconv"
-	"strings"
-	"sync"
-	"syscall"
-	"time"
 
-	"repro/internal/simrand"
+	"repro/cmd/internal/ringproc"
 )
-
-// proc is one spawned ring process (a vetd peer or the router).
-type proc struct {
-	label string
-	bin   string
-	args  []string
-
-	mu   sync.Mutex
-	cmd  *exec.Cmd
-	addr string
-	done chan error
-}
-
-// spawn starts the process and waits for its "<label>: listening on
-// ADDR" line, mirroring how scripts/verify.sh finds ephemeral ports.
-// All process output is forwarded to our stdout, prefixed.
-func spawn(label, bin string, args []string, listenPrefix string) (*proc, error) {
-	p := &proc{label: label, bin: bin, args: args}
-	if err := p.start(listenPrefix); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-func (p *proc) start(listenPrefix string) error {
-	cmd := exec.Command(p.bin, p.args...)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return err
-	}
-	if err := cmd.Start(); err != nil {
-		return err
-	}
-	addrc := make(chan string, 1)
-	done := make(chan error, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			if a, ok := strings.CutPrefix(line, listenPrefix); ok {
-				select {
-				case addrc <- strings.Fields(a)[0]:
-				default:
-				}
-			}
-			fmt.Printf("  [%s] %s\n", p.label, line)
-		}
-		done <- cmd.Wait()
-	}()
-	select {
-	case addr := <-addrc:
-		p.mu.Lock()
-		p.cmd, p.addr, p.done = cmd, addr, done
-		p.mu.Unlock()
-		return nil
-	case err := <-done:
-		return fmt.Errorf("%s exited before listening: %v", p.label, err)
-	case <-time.After(10 * time.Second):
-		cmd.Process.Kill()
-		return fmt.Errorf("%s: no listening line within 10s", p.label)
-	}
-}
-
-// kill SIGKILLs the process and reaps it.
-func (p *proc) kill() {
-	p.mu.Lock()
-	cmd, done := p.cmd, p.done
-	p.mu.Unlock()
-	if cmd != nil && cmd.Process != nil {
-		cmd.Process.Kill()
-		<-done
-	}
-}
-
-// restart re-execs the process on its previous concrete address (the
-// restart path of a crashed peer: same identity, same store).
-func (p *proc) restart(listenPrefix string) error {
-	p.mu.Lock()
-	// Rewrite -addr to the concrete address from the first spawn so the
-	// ring topology is unchanged.
-	args := make([]string, len(p.args))
-	copy(args, p.args)
-	for i := 0; i < len(args)-1; i++ {
-		if args[i] == "-addr" {
-			args[i+1] = p.addr
-		}
-	}
-	p.args = args
-	p.mu.Unlock()
-	return p.start(listenPrefix)
-}
-
-// interrupt SIGINTs the process and returns its exit error (nil for a
-// clean exit 0).
-func (p *proc) interrupt(timeout time.Duration) error {
-	p.mu.Lock()
-	cmd, done := p.cmd, p.done
-	p.mu.Unlock()
-	if cmd == nil || cmd.Process == nil {
-		return fmt.Errorf("%s: not running", p.label)
-	}
-	cmd.Process.Signal(syscall.SIGINT)
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(timeout):
-		cmd.Process.Kill()
-		<-done
-		return fmt.Errorf("%s: no clean exit within %v; killed", p.label, timeout)
-	}
-}
-
-// ringHarness owns the spawned topology.
-type ringHarness struct {
-	peers  []*proc
-	router *proc
-
-	chaosStop chan struct{}
-	chaosDone chan struct{}
-	kills     int
-}
 
 // startRing spawns cfg.ring vetd peers and the router, returning the
 // router's base URL.
-func startRing(cfg config) (*ringHarness, string, error) {
-	storeRoot := cfg.storeDir
-	if storeRoot == "" {
-		dir, err := os.MkdirTemp("", "vetload-ring-")
-		if err != nil {
-			return nil, "", err
-		}
-		storeRoot = dir
-	}
-	h := &ringHarness{}
+func startRing(cfg config) (*ringproc.Ring, string, error) {
 	tier := strconv.Itoa(int(cfg.tier))
-	for i := 0; i < cfg.ring; i++ {
-		dir := filepath.Join(storeRoot, fmt.Sprintf("peer%d", i))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			h.stopAll()
-			return nil, "", err
-		}
-		p, err := spawn(fmt.Sprintf("vetd%d", i), cfg.vetdBin, []string{
-			"-addr", "127.0.0.1:0", "-tier", tier, "-store", dir,
-		}, "vetd: listening on ")
-		if err != nil {
-			h.stopAll()
-			return nil, "", err
-		}
-		h.peers = append(h.peers, p)
-	}
-	peerAddrs := make([]string, len(h.peers))
-	for i, p := range h.peers {
-		peerAddrs[i] = p.addr
-	}
-	router, err := spawn("router", cfg.routerBin, []string{
-		"-addr", "127.0.0.1:0",
-		"-peers", strings.Join(peerAddrs, ","),
-		"-replicas", strconv.Itoa(cfg.replicas),
-		"-tier", tier,
-		"-net-faults", cfg.netFaults,
-		"-net-seed", strconv.FormatInt(cfg.seed, 10),
-		"-seed", strconv.FormatInt(cfg.seed, 10),
-	}, "vetrouter: listening on ")
+	h, err := ringproc.Start("vetload", cfg.ring, cfg.storeDir,
+		ringproc.Spec{Label: "vetd", Bin: cfg.vetdBin, Listen: "vetd: listening on ", Args: func(dir string) []string {
+			return []string{"-addr", "127.0.0.1:0", "-tier", tier, "-store", dir}
+		}},
+		ringproc.Spec{Label: "router", Bin: cfg.routerBin, Listen: "vetrouter: listening on ", Args: func(peers string) []string {
+			return []string{
+				"-addr", "127.0.0.1:0",
+				"-peers", peers,
+				"-replicas", strconv.Itoa(cfg.replicas),
+				"-tier", tier,
+				"-net-faults", cfg.netFaults,
+				"-net-seed", strconv.FormatInt(cfg.seed, 10),
+				"-seed", strconv.FormatInt(cfg.seed, 10),
+			}
+		}})
 	if err != nil {
-		h.stopAll()
 		return nil, "", err
 	}
-	h.router = router
-	return h, "http://" + router.addr, nil
-}
-
-// startChaos begins the seeded kill/restart schedule: every interval
-// (jittered) one seeded-chosen peer is SIGKILLed, left down briefly,
-// and restarted on the same address and store.
-func (h *ringHarness) startChaos(cfg config) {
-	h.chaosStop = make(chan struct{})
-	h.chaosDone = make(chan struct{})
-	rng := simrand.New(cfg.seed).Derive("vetload/chaos")
-	go func() {
-		defer close(h.chaosDone)
-		for {
-			wait := time.Duration(float64(cfg.chaos) * (0.5 + rng.Float64()))
-			select {
-			case <-h.chaosStop:
-				return
-			case <-time.After(wait):
-			}
-			victim := h.peers[rng.Intn(len(h.peers))]
-			fmt.Printf("vetload: chaos: SIGKILL %s (%s)\n", victim.label, victim.addr)
-			victim.kill()
-			h.kills++
-			downFor := time.Duration(float64(cfg.chaos) * 0.25 * (0.5 + rng.Float64()))
-			select {
-			case <-h.chaosStop:
-				// Restart even when stopping, so the final shutdown pass
-				// finds every peer alive and can verify clean exits.
-				if err := victim.restart("vetd: listening on "); err != nil {
-					fmt.Fprintf(os.Stderr, "vetload: chaos: restart %s: %v\n", victim.label, err)
-				}
-				return
-			case <-time.After(downFor):
-			}
-			if err := victim.restart("vetd: listening on "); err != nil {
-				fmt.Fprintf(os.Stderr, "vetload: chaos: restart %s: %v\n", victim.label, err)
-				return
-			}
-			fmt.Printf("vetload: chaos: restarted %s on %s\n", victim.label, victim.addr)
-		}
-	}()
-}
-
-func (h *ringHarness) stopChaos() {
-	if h.chaosStop != nil {
-		close(h.chaosStop)
-		<-h.chaosDone
-	}
-}
-
-// shutdown SIGINTs the router then every peer, requiring clean exits.
-func (h *ringHarness) shutdown() error {
-	var firstErr error
-	if h.router != nil {
-		if err := h.router.interrupt(10 * time.Second); err != nil {
-			firstErr = fmt.Errorf("router: %w", err)
-		}
-	}
-	for _, p := range h.peers {
-		if err := p.interrupt(10 * time.Second); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("%s: %w", p.label, err)
-		}
-	}
-	return firstErr
-}
-
-// stopAll is the error-path cleanup: kill everything, ignore outcomes.
-func (h *ringHarness) stopAll() {
-	if h.router != nil {
-		h.router.kill()
-	}
-	for _, p := range h.peers {
-		p.kill()
-	}
+	return h, "http://" + h.Router.Addr(), nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+
+	"repro/internal/ring"
 )
 
 // Metrics is the router's observability surface.
@@ -54,15 +56,6 @@ type Metrics struct {
 	FallbackIngests atomic.Uint64
 }
 
-// PeerStats is one peer's slice of the /stats snapshot.
-type PeerStats struct {
-	Name    string `json:"name"`
-	Breaker string `json:"breaker"`
-	Opens   uint64 `json:"breaker_opens"`
-	Served  uint64 `json:"served"`
-	Errors  uint64 `json:"errors"`
-}
-
 // Stats is the router's GET /stats JSON snapshot. Service is
 // "sentryrouter", the discriminator load generators key on to pick the
 // right accounting invariant.
@@ -92,7 +85,7 @@ type Stats struct {
 
 	FallbackIngests uint64 `json:"fallback_ingests"`
 
-	Peers []PeerStats `json:"peers"`
+	Peers []ring.PeerStats `json:"peers"`
 }
 
 // WriteProm renders the router metrics in Prometheus text exposition
@@ -121,18 +114,7 @@ func (r *Router) WriteProm(w io.Writer) {
 	counter("sentryrouter_config_push_errors_total", "Config fan-out attempts that failed.", m.ConfigPushErrs.Load())
 	counter("sentryrouter_fallback_ingests_total", "Local fallback engine ingests.", m.FallbackIngests.Load())
 	fmt.Fprintf(w, "# HELP sentryrouter_config_version Active detection rule-set version.\n# TYPE sentryrouter_config_version gauge\nsentryrouter_config_version %d\n", r.local.RulesVersion())
-	fmt.Fprintf(w, "# HELP sentryrouter_peer_served_total Batches acked per peer.\n# TYPE sentryrouter_peer_served_total counter\n")
-	for _, p := range r.peerStats() {
-		fmt.Fprintf(w, "sentryrouter_peer_served_total{peer=%q} %d\n", p.Name, p.Served)
-	}
-	fmt.Fprintf(w, "# HELP sentryrouter_peer_breaker_open Peer breaker state (1 = not closed).\n# TYPE sentryrouter_peer_breaker_open gauge\n")
-	for _, p := range r.peerStats() {
-		open := 0
-		if p.Breaker != "closed" {
-			open = 1
-		}
-		fmt.Fprintf(w, "sentryrouter_peer_breaker_open{peer=%q,state=%q} %d\n", p.Name, p.Breaker, open)
-	}
+	r.core.WritePeerProm(w, "sentryrouter", "Batches acked per peer.")
 }
 
 // Snapshot assembles the current Stats.
@@ -159,6 +141,6 @@ func (r *Router) Snapshot() Stats {
 		ConfigPushes:    m.ConfigPushes.Load(),
 		ConfigPushErrs:  m.ConfigPushErrs.Load(),
 		FallbackIngests: m.FallbackIngests.Load(),
-		Peers:           r.peerStats(),
+		Peers:           r.core.PeerStats(),
 	}
 }

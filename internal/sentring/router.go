@@ -1,11 +1,12 @@
 // Package sentring is the distributed serving plane for the streaming
 // detection service: a device-ID consistent-hash ingest router
 // (cmd/sentryrouter) that shards the fleet across N sentryd peers with
-// R-way batch replication, plus the failure machinery that keeps the
-// plane answering while peers die — per-attempt deadlines, bounded
-// retries with seeded backoff, per-peer circuit breakers fed by
-// background /readyz probes, and graceful degradation to a local
-// detection engine when every replica for a device is unreachable.
+// R-way batch replication. The placement, peer set, breakers, probes,
+// backoff, fallback gate and fault-injecting transport are the shared
+// ring core (internal/ring); this package adds the detection semantics
+// — replicate-to-all with duplicate acks, and graceful degradation to a
+// local detection engine when every replica for a device is
+// unreachable.
 //
 // Detection safety is structural, not best-effort: a detection is a
 // pure function of the device's own record stream, so replicating a
@@ -19,143 +20,73 @@
 // restarted peer come back, so a node that lost its in-memory rules
 // heals to the ring's version without operator action.
 //
-// The network fault plane (faults.NetPlane) plugs in beneath the HTTP
-// clients as a per-peer RoundTripper, so request drops, latency spikes,
-// 5xx storms and partitions are injected between router and peer with
-// seeded determinism while the router code under test is byte-identical
-// to production.
-//
 // sentring is a wall-clock serving package (simlint's ServingPackages
 // allowlist): deadlines, backoff and breaker cooldowns are real time,
 // but every detection decision stays virtual-time pure on the peers.
 package sentring
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/ring"
 	"repro/internal/sentry"
-	"repro/internal/simrand"
 )
 
-// Config parameterizes a Router.
+// Config parameterizes a Router. Every field except Engine is a setting
+// of the shared ring core; ring.Options documents each one and its
+// default.
 type Config struct {
-	// Peers are the sentryd node addresses (host:port), in ring order.
-	// The index of a peer in this slice is its identity for the fault
-	// plane's partition sets.
-	Peers []string
-	// Replicas is the replica set size per device (default 2, clamped
-	// to len(Peers)).
+	Peers    []string
 	Replicas int
-	// VNodes is the number of virtual ring points per peer (default 64).
-	VNodes int
+	VNodes   int
 	// Engine configures the local fallback detection engine — it must
 	// match the peers' construction config, or degraded batches would be
 	// judged under different rules.
 	Engine sentry.Config
 
-	// Deadline bounds each peer attempt (default 2s).
-	Deadline time.Duration
-	// Retries is the number of extra full passes over the replica set
-	// after the first (default 1). Between passes the router backs off
-	// exponentially with seeded jitter.
-	Retries int
-	// RetryBase is the first inter-pass backoff (default 25ms); pass k
-	// waits RetryBase<<(k-1), jittered ±50%.
+	Deadline  time.Duration
+	Retries   int
 	RetryBase time.Duration
 
-	// BreakerThreshold consecutive failures open a peer's circuit
-	// (default 3); BreakerCooldown is the open→half-open delay (default
-	// 1s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// ProbeInterval is the health-probe period per peer (default 250ms;
-	// negative disables probing).
-	ProbeInterval time.Duration
+	ProbeInterval    time.Duration
 
-	// FallbackConcurrency bounds concurrent local degraded ingests
-	// (default 4); beyond it the router sheds.
 	FallbackConcurrency int
-	// RetryAfter is the hint returned with 429 sheds (default 1s).
-	RetryAfter time.Duration
-	// MaxBodyBytes bounds request bodies (default 16 MiB).
-	MaxBodyBytes int64
+	RetryAfter          time.Duration
+	MaxBodyBytes        int64
 
-	// Seed feeds the backoff jitter stream (default 1).
-	Seed int64
-	// NetPlane, when non-nil, injects deterministic network faults
-	// beneath the peer HTTP clients. Nil in production.
-	NetPlane *faults.NetPlane
-	// Transport overrides the base HTTP transport (tests); nil uses a
-	// dedicated http.Transport per router.
+	Seed      int64
+	NetPlane  *faults.NetPlane
 	Transport http.RoundTripper
 }
 
-func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = 2
+func (c Config) options() ring.Options {
+	return ring.Options{
+		Peers:               c.Peers,
+		Replicas:            c.Replicas,
+		VNodes:              c.VNodes,
+		Deadline:            c.Deadline,
+		Retries:             c.Retries,
+		RetryBase:           c.RetryBase,
+		BreakerThreshold:    c.BreakerThreshold,
+		BreakerCooldown:     c.BreakerCooldown,
+		ProbeInterval:       c.ProbeInterval,
+		FallbackConcurrency: c.FallbackConcurrency,
+		RetryAfter:          c.RetryAfter,
+		MaxBodyBytes:        c.MaxBodyBytes,
+		Seed:                c.Seed,
+		NetPlane:            c.NetPlane,
+		Transport:           c.Transport,
 	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 2 * time.Second
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 1
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 25 * time.Millisecond
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Second
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = 250 * time.Millisecond
-	}
-	if c.FallbackConcurrency <= 0 {
-		c.FallbackConcurrency = 4
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 16 << 20
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
-// peer is one sentryd node as the router sees it.
-type peer struct {
-	name   string
-	client *http.Client
-	brk    *breaker
-
-	served atomic.Uint64
-	errors atomic.Uint64
-	// ready tracks the last probe outcome so the probe loop can detect a
-	// failed→ok transition and re-push the active config to a restarted
-	// peer.
-	ready atomic.Bool
 }
 
 // Router is the ring front end, an http.Handler mirroring sentryd's API
@@ -163,9 +94,7 @@ type peer struct {
 // POST /v1/config, GET /healthz, /readyz, /stats, /metrics) so clients
 // cannot tell a node from the ring.
 type Router struct {
-	cfg   Config
-	ring  *Ring
-	peers []*peer
+	core *ring.Core
 	// local is the fallback detection engine: it absorbs batches whose
 	// replica set is entirely unreachable, and it is the version
 	// authority for /v1/config fan-out.
@@ -174,26 +103,15 @@ type Router struct {
 
 	metrics Metrics
 
-	// jitterMu serializes the seeded backoff stream.
-	jitterMu  sync.Mutex
-	jitterRng *simrand.Source
-
-	fallbackSem chan struct{}
-
 	// configMu serializes config fan-out; lastConfig is the active
 	// update (version assigned) re-pushed to peers that come back.
 	configMu   sync.Mutex
 	lastConfig *sentry.ConfigUpdate
-
-	probeStop chan struct{}
-	probeWG   sync.WaitGroup
-	closed    atomic.Bool
 }
 
 // New builds a Router over cfg.Peers and starts its health probes.
 func New(cfg Config) (*Router, error) {
-	cfg = cfg.withDefaults()
-	ring, err := NewRing(cfg.Peers, cfg.VNodes, cfg.Replicas)
+	core, err := ring.NewCore(cfg.options(), "sentring/backoff")
 	if err != nil {
 		return nil, err
 	}
@@ -201,56 +119,25 @@ func New(cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := cfg.Transport
-	if base == nil {
-		base = &http.Transport{MaxIdleConnsPerHost: 16}
-	}
-	r := &Router{
-		cfg:         cfg,
-		ring:        ring,
-		local:       local,
-		jitterRng:   simrand.New(cfg.Seed).Derive("sentring/backoff"),
-		fallbackSem: make(chan struct{}, cfg.FallbackConcurrency),
-		probeStop:   make(chan struct{}),
-	}
-	for i, name := range cfg.Peers {
-		p := &peer{
-			name: name,
-			client: &http.Client{
-				Transport: newPeerTransport(base, cfg.NetPlane, i),
-				Timeout:   cfg.Deadline,
-			},
-			brk: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		}
-		p.ready.Store(true) // assume up until a probe says otherwise
-		r.peers = append(r.peers, p)
-	}
+	r := &Router{core: core, local: local}
 	r.mux = http.NewServeMux()
 	r.mux.HandleFunc("POST /v1/ingest", r.handleIngest)
 	r.mux.HandleFunc("GET /v1/report", r.handleReport)
 	r.mux.HandleFunc("GET /v1/flagged", r.handleFlagged)
 	r.mux.HandleFunc("POST /v1/config", r.handleConfig)
-	r.mux.HandleFunc("GET /healthz", r.handleHealthz)
-	r.mux.HandleFunc("GET /readyz", r.handleReadyz)
+	r.mux.HandleFunc("GET /healthz", ring.Healthz)
+	r.mux.HandleFunc("GET /readyz", core.Readyz)
 	r.mux.HandleFunc("GET /stats", r.handleStats)
 	r.mux.HandleFunc("GET /metrics", r.handleMetrics)
-	if cfg.ProbeInterval > 0 {
-		for i := range r.peers {
-			r.probeWG.Add(1)
-			go r.probeLoop(i)
-		}
-	}
+	// A SIGKILLed peer restarts at rule version 1; the probe that sees it
+	// come back heals it to the ring's version.
+	core.StartProbes(&r.metrics.ProbeOK, &r.metrics.ProbeFail, r.repushConfig)
 	return r, nil
 }
 
 // Close stops the health probes and refuses further ingests; in-flight
 // requests finish normally.
-func (r *Router) Close() {
-	if r.closed.CompareAndSwap(false, true) {
-		close(r.probeStop)
-		r.probeWG.Wait()
-	}
-}
+func (r *Router) Close() { r.core.Close() }
 
 // ServeHTTP implements http.Handler.
 func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
@@ -258,57 +145,15 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 }
 
 // Ring exposes the placement function (tests and topology dumps).
-func (r *Router) Ring() *Ring { return r.ring }
+func (r *Router) Ring() *ring.Ring { return r.core.Ring }
 
 // Local exposes the fallback engine (shutdown accounting).
 func (r *Router) Local() *sentry.Engine { return r.local }
 
-// probeLoop polls one peer's /readyz and feeds its breaker, so dead
-// peers are discovered between batches and recovered peers readmitted
-// within one cooldown. A failed→ok transition additionally re-pushes
-// the active config: a SIGKILLed peer restarts at rule version 1, and
-// the probe heals it to the ring's version.
-func (r *Router) probeLoop(i int) {
-	defer r.probeWG.Done()
-	p := r.peers[i]
-	t := time.NewTicker(r.cfg.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.probeStop:
-			return
-		case <-t.C:
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeInterval)
-		req, err := http.NewRequestWithContext(ctx, "GET", "http://"+p.name+"/readyz", nil)
-		if err != nil {
-			cancel()
-			continue
-		}
-		resp, err := p.client.Do(req)
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		cancel()
-		if err == nil && resp.StatusCode == http.StatusOK {
-			r.metrics.ProbeOK.Add(1)
-			p.brk.onSuccess()
-			if !p.ready.Swap(true) {
-				r.repushConfig(p)
-			}
-		} else {
-			r.metrics.ProbeFail.Add(1)
-			p.brk.onFailure()
-			p.ready.Store(false)
-		}
-	}
-}
-
 // repushConfig sends the active config (if any swap happened) to a peer
 // that just came back. Idempotent on the peer side: an equal re-push of
 // the active version is a no-op, a restarted peer jumps forward.
-func (r *Router) repushConfig(p *peer) {
+func (r *Router) repushConfig(p *ring.Peer) {
 	r.configMu.Lock()
 	u := r.lastConfig
 	r.configMu.Unlock()
@@ -320,33 +165,6 @@ func (r *Router) repushConfig(p *peer) {
 	}
 }
 
-// backoff returns the jittered inter-pass delay for retry pass k
-// (1-based): RetryBase<<(k-1), jittered uniformly in [0.5x, 1.5x],
-// drawn from the router's seeded stream.
-func (r *Router) backoff(k int) time.Duration {
-	d := r.cfg.RetryBase << (k - 1)
-	r.jitterMu.Lock()
-	j := 0.5 + r.jitterRng.Float64()
-	r.jitterMu.Unlock()
-	return time.Duration(float64(d) * j)
-}
-
-func (r *Router) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func (r *Router) writeError(w http.ResponseWriter, status int, msg string) {
-	resp := sentry.ErrorResponse{Error: msg}
-	if status == http.StatusTooManyRequests {
-		sec := int((r.cfg.RetryAfter + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.Itoa(sec))
-		resp.RetryAfterSec = sec
-	}
-	r.writeJSON(w, status, resp)
-}
-
 // handleIngest validates the batch, routes it to the device's replica
 // set, and classifies it on exactly one batch-level counter — see the
 // Metrics contract.
@@ -355,18 +173,18 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	device := req.URL.Query().Get("device")
 	if !sentry.ValidToken(device) {
 		r.metrics.BadBatches.Add(1)
-		r.writeError(w, http.StatusBadRequest, fmt.Sprintf("sentring: bad device %q", device))
+		r.core.WriteError(w, http.StatusBadRequest, fmt.Sprintf("sentring: bad device %q", device))
 		return
 	}
-	if r.closed.Load() {
+	if r.core.Closed() {
 		r.metrics.RefusedBatches.Add(1)
-		r.writeError(w, http.StatusServiceUnavailable, "sentring: shutting down")
+		r.core.WriteError(w, http.StatusServiceUnavailable, "sentring: shutting down")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.core.Opt.MaxBodyBytes))
 	if err != nil {
 		r.metrics.BadBatches.Add(1)
-		r.writeError(w, http.StatusBadRequest, "sentring: read body: "+err.Error())
+		r.core.WriteError(w, http.StatusBadRequest, "sentring: read body: "+err.Error())
 		return
 	}
 	// Decode at the router so malformed batches never consume ring
@@ -374,21 +192,21 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	recs, err := sentry.DecodeBatch(body)
 	if err != nil {
 		r.metrics.BadBatches.Add(1)
-		r.writeError(w, http.StatusBadRequest, err.Error())
+		r.core.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if len(recs) == 0 {
 		r.metrics.BadBatches.Add(1)
-		r.writeError(w, http.StatusBadRequest, "sentring: empty batch")
+		r.core.WriteError(w, http.StatusBadRequest, "sentring: empty batch")
 		return
 	}
 	r.metrics.Batches.Add(1)
 	res := r.routeBatch(req.Context(), device, body, recs)
 	if res.status != http.StatusOK {
-		r.writeError(w, res.status, res.errMsg)
+		r.core.WriteError(w, res.status, res.errMsg)
 		return
 	}
-	r.writeJSON(w, http.StatusOK, res.resp)
+	ring.WriteJSON(w, http.StatusOK, res.resp)
 }
 
 // routeResult is the classified outcome of one routed batch.
@@ -409,24 +227,16 @@ type routeResult struct {
 // absorbed → Degraded, fallback saturated → Shed, fallback error →
 // Failed.
 func (r *Router) routeBatch(ctx context.Context, device string, body []byte, recs []sentry.Record) routeResult {
-	replicas := r.ring.Replicas(device)
+	replicas := r.core.Ring.Replicas(device)
 	acked := make([]bool, len(replicas))
 	maybeSent := make([]bool, len(replicas))
 	ackCount := 0
 	var okResp *sentry.IngestResponse
 
-	for pass := 0; pass <= r.cfg.Retries; pass++ {
+	for pass := 0; pass <= r.core.Opt.Retries; pass++ {
 		if pass > 0 {
-			if ackCount == len(replicas) {
-				break
-			}
 			r.metrics.Retries.Add(1)
-			select {
-			case <-time.After(r.backoff(pass)):
-			case <-ctx.Done():
-				pass = r.cfg.Retries + 1 // no more passes
-			}
-			if pass > r.cfg.Retries {
+			if !r.core.Backoff(ctx, pass) {
 				break
 			}
 		}
@@ -434,20 +244,19 @@ func (r *Router) routeBatch(ctx context.Context, device string, body []byte, rec
 			if acked[ri] {
 				continue
 			}
-			p := r.peers[pi]
-			if !p.brk.allow() {
+			p := r.core.Peers[pi]
+			if !p.Allow() {
 				continue
 			}
 			status, iresp, errMsg, err := r.tryIngest(ctx, p, device, body)
 			switch {
 			case err != nil:
 				maybeSent[ri] = true
-				p.errors.Add(1)
-				r.metrics.PeerErrs.Add(1)
-				p.brk.onFailure()
+				if p.Failed(ctx) {
+					r.metrics.PeerErrs.Add(1)
+				}
 			case status == http.StatusOK:
-				p.brk.onSuccess()
-				p.served.Add(1)
+				p.Served()
 				r.metrics.Acks.Add(1)
 				acked[ri] = true
 				ackCount++
@@ -455,33 +264,32 @@ func (r *Router) routeBatch(ctx context.Context, device string, body []byte, rec
 					resp := iresp
 					okResp = &resp
 				}
+			case status == http.StatusConflict && maybeSent[ri]:
+				// Retry race: an earlier attempt reached the peer but its
+				// response was lost; the strict sequence check
+				// acknowledges the duplicate without double-applying.
+				p.Served()
+				r.metrics.DupAcks.Add(1)
+				acked[ri] = true
+				ackCount++
 			case status == http.StatusConflict:
-				p.brk.onSuccess() // the peer is alive and answered
-				if maybeSent[ri] {
-					// Retry race: an earlier attempt reached the peer but
-					// its response was lost; the strict sequence check
-					// acknowledges the duplicate without double-applying.
-					r.metrics.DupAcks.Add(1)
-					p.served.Add(1)
-					acked[ri] = true
-					ackCount++
-				} else {
-					// Genuine stream conflict: every replica will refuse
-					// it the same way. Classify failed, propagate.
-					r.metrics.Failed.Add(1)
-					return routeResult{status: http.StatusConflict, errMsg: errMsg}
-				}
+				// Genuine stream conflict: every replica will refuse it
+				// the same way. The peer is alive and answered; classify
+				// failed, propagate.
+				p.Answered()
+				r.metrics.Failed.Add(1)
+				return routeResult{status: http.StatusConflict, errMsg: errMsg}
 			case status == http.StatusTooManyRequests:
 				// The peer is alive and shedding: no ack, no breaker
 				// damage — opening the circuit on load would amplify the
 				// overload onto the remaining replicas.
 				r.metrics.Peer429s.Add(1)
-				p.brk.onSuccess()
+				p.Answered()
 			default:
 				// 5xx (injected storms included) and unexpected codes.
-				p.errors.Add(1)
-				r.metrics.PeerErrs.Add(1)
-				p.brk.onFailure()
+				if p.Failed(ctx) {
+					r.metrics.PeerErrs.Add(1)
+				}
 			}
 		}
 		if ackCount == len(replicas) {
@@ -502,55 +310,37 @@ func (r *Router) routeBatch(ctx context.Context, device string, body []byte, rec
 }
 
 // tryIngest sends one batch attempt to p. The returned error covers
-// transport failures only; HTTP-level failures come back as the status
-// plus the peer's error message.
-func (r *Router) tryIngest(ctx context.Context, p *peer, device string, body []byte) (int, sentry.IngestResponse, string, error) {
-	attemptCtx, cancel := context.WithTimeout(ctx, r.cfg.Deadline)
-	defer cancel()
-	url := "http://" + p.name + "/v1/ingest?device=" + device
-	req, err := http.NewRequestWithContext(attemptCtx, "POST", url, bytes.NewReader(body))
+// transport and decode failures only; HTTP-level failures come back as
+// the status plus the peer's error message.
+func (r *Router) tryIngest(ctx context.Context, p *ring.Peer, device string, body []byte) (int, sentry.IngestResponse, string, error) {
+	status, resp, err := r.core.Call(ctx, p, "POST", "/v1/ingest?device="+device, "text/plain", body)
 	if err != nil {
 		return 0, sentry.IngestResponse{}, "", err
 	}
-	req.Header.Set("Content-Type", "text/plain")
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return 0, sentry.IngestResponse{}, "", err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
+	if status != http.StatusOK {
 		var er sentry.ErrorResponse
-		json.NewDecoder(io.LimitReader(resp.Body, r.cfg.MaxBodyBytes)).Decode(&er)
-		return resp.StatusCode, sentry.IngestResponse{}, er.Error, nil
+		// The message is informational; the status alone classifies.
+		_ = json.Unmarshal(resp, &er)
+		return status, sentry.IngestResponse{}, er.Error, nil
 	}
 	var ir sentry.IngestResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, r.cfg.MaxBodyBytes)).Decode(&ir); err != nil {
+	if err := json.Unmarshal(resp, &ir); err != nil {
 		return 0, sentry.IngestResponse{}, "", fmt.Errorf("decode peer response: %w", err)
 	}
 	return http.StatusOK, ir, "", nil
 }
 
 // fallback absorbs the batch into the local engine when every replica
-// is unreachable: bounded by the fallback semaphore (full → shed),
-// stamped Degraded — the plane keeps detecting but admits it routed
-// nothing.
+// is unreachable: bounded by the fallback gate (full → shed), stamped
+// Degraded — the plane keeps detecting but admits it routed nothing.
 func (r *Router) fallback(ctx context.Context, device string, recs []sentry.Record) routeResult {
-	select {
-	case r.fallbackSem <- struct{}{}:
-	default:
+	release, shed := r.core.EnterFallback(ctx)
+	if shed != "" {
 		r.metrics.Sheds.Add(1)
 		r.local.MarkShed(device)
-		return routeResult{status: http.StatusTooManyRequests, errMsg: "ring unreachable and local fallback saturated"}
+		return routeResult{status: http.StatusTooManyRequests, errMsg: shed}
 	}
-	defer func() { <-r.fallbackSem }()
-	if ctx.Err() != nil {
-		r.metrics.Sheds.Add(1)
-		r.local.MarkShed(device)
-		return routeResult{status: http.StatusTooManyRequests, errMsg: "deadline exhausted before fallback"}
-	}
+	defer release()
 	r.metrics.FallbackIngests.Add(1)
 	n, err := r.local.Ingest(device, recs)
 	if err != nil {
@@ -565,27 +355,17 @@ func (r *Router) fallback(ctx context.Context, device string, recs []sentry.Reco
 }
 
 // fetchPeerSnapshot pulls one peer's /v1/report.
-func (r *Router) fetchPeerSnapshot(ctx context.Context, p *peer) (sentry.Snapshot, error) {
-	attemptCtx, cancel := context.WithTimeout(ctx, r.cfg.Deadline)
-	defer cancel()
-	req, err := http.NewRequestWithContext(attemptCtx, "GET", "http://"+p.name+"/v1/report", nil)
+func (r *Router) fetchPeerSnapshot(ctx context.Context, p *ring.Peer) (sentry.Snapshot, error) {
+	status, body, err := r.core.Call(ctx, p, "GET", "/v1/report", "", nil)
 	if err != nil {
 		return sentry.Snapshot{}, err
 	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return sentry.Snapshot{}, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return sentry.Snapshot{}, fmt.Errorf("peer %s report: status %d", p.name, resp.StatusCode)
+	if status != http.StatusOK {
+		return sentry.Snapshot{}, fmt.Errorf("peer %s report: status %d", p.Name, status)
 	}
 	var snap sentry.Snapshot
-	if err := json.NewDecoder(io.LimitReader(resp.Body, r.cfg.MaxBodyBytes)).Decode(&snap); err != nil {
-		return sentry.Snapshot{}, fmt.Errorf("peer %s report: %w", p.name, err)
+	if err := json.Unmarshal(body, &snap); err != nil {
+		return sentry.Snapshot{}, fmt.Errorf("peer %s report: %w", p.Name, err)
 	}
 	return snap, nil
 }
@@ -609,7 +389,7 @@ func (r *Router) MergedSnapshot(ctx context.Context) sentry.Snapshot {
 	}
 	var sources []source
 	index := make(map[int]int) // peer idx -> sources idx
-	for i, p := range r.peers {
+	for i, p := range r.core.Peers {
 		snap, err := r.fetchPeerSnapshot(ctx, p)
 		if err != nil {
 			continue
@@ -640,12 +420,12 @@ func (r *Router) MergedSnapshot(ctx context.Context) sentry.Snapshot {
 	for dev := range devices {
 		// Preference order: the device's replica set, then every other
 		// peer (a ring reconfiguration could have moved it), then local.
-		pref := r.ring.Replicas(dev)
+		pref := r.core.Ring.Replicas(dev)
 		inPref := make(map[int]bool, len(pref))
 		for _, pi := range pref {
 			inPref[pi] = true
 		}
-		for pi := range r.peers {
+		for pi := range r.core.Peers {
 			if !inPref[pi] {
 				pref = append(pref, pi)
 			}
@@ -718,7 +498,7 @@ func (r *Router) MergedSnapshot(ctx context.Context) sentry.Snapshot {
 }
 
 func (r *Router) handleReport(w http.ResponseWriter, req *http.Request) {
-	r.writeJSON(w, http.StatusOK, r.MergedSnapshot(req.Context()))
+	ring.WriteJSON(w, http.StatusOK, r.MergedSnapshot(req.Context()))
 }
 
 // handleFlagged proxies "was this device ever flagged" to the device's
@@ -730,12 +510,12 @@ func (r *Router) handleReport(w http.ResponseWriter, req *http.Request) {
 func (r *Router) handleFlagged(w http.ResponseWriter, req *http.Request) {
 	device := req.URL.Query().Get("device")
 	if !sentry.ValidToken(device) {
-		r.writeError(w, http.StatusBadRequest, fmt.Sprintf("sentring: bad device %q", device))
+		r.core.WriteError(w, http.StatusBadRequest, fmt.Sprintf("sentring: bad device %q", device))
 		return
 	}
 	var unflagged []byte
-	for _, pi := range r.ring.Replicas(device) {
-		p := r.peers[pi]
+	for _, pi := range r.core.Ring.Replicas(device) {
+		p := r.core.Peers[pi]
 		body, flagged, err := r.tryFlagged(req.Context(), p, device)
 		if err != nil {
 			continue
@@ -750,7 +530,7 @@ func (r *Router) handleFlagged(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	if d, ok := r.local.DetectionFor(device); ok {
-		r.writeJSON(w, http.StatusOK, sentry.FlaggedResponse{Device: device, Flagged: true, Detection: &d})
+		ring.WriteJSON(w, http.StatusOK, sentry.FlaggedResponse{Device: device, Flagged: true, Detection: &d})
 		return
 	}
 	if unflagged != nil {
@@ -758,27 +538,16 @@ func (r *Router) handleFlagged(w http.ResponseWriter, req *http.Request) {
 		w.Write(unflagged)
 		return
 	}
-	r.writeError(w, http.StatusBadGateway, "sentring: no replica answered")
+	r.core.WriteError(w, http.StatusBadGateway, "sentring: no replica answered")
 }
 
-func (r *Router) tryFlagged(ctx context.Context, p *peer, device string) ([]byte, bool, error) {
-	attemptCtx, cancel := context.WithTimeout(ctx, r.cfg.Deadline)
-	defer cancel()
-	req, err := http.NewRequestWithContext(attemptCtx, "GET", "http://"+p.name+"/v1/flagged?device="+device, nil)
+func (r *Router) tryFlagged(ctx context.Context, p *ring.Peer, device string) ([]byte, bool, error) {
+	status, body, err := r.core.Call(ctx, p, "GET", "/v1/flagged?device="+device, "", nil)
 	if err != nil {
 		return nil, false, err
 	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, r.cfg.MaxBodyBytes))
-	if err != nil {
-		return nil, false, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, fmt.Errorf("peer %s flagged: status %d", p.name, resp.StatusCode)
+	if status != http.StatusOK {
+		return nil, false, fmt.Errorf("peer %s flagged: status %d", p.Name, status)
 	}
 	var fr sentry.FlaggedResponse
 	if err := json.Unmarshal(body, &fr); err != nil {
@@ -803,14 +572,14 @@ type ConfigFanout struct {
 // invalid update, 409 = stale or conflicting version; neither touches
 // any engine.
 func (r *Router) handleConfig(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.core.Opt.MaxBodyBytes))
 	if err != nil {
-		r.writeError(w, http.StatusBadRequest, "sentring: read body: "+err.Error())
+		r.core.WriteError(w, http.StatusBadRequest, "sentring: read body: "+err.Error())
 		return
 	}
 	u, err := sentry.ParseConfigUpdate(body)
 	if err != nil {
-		r.writeError(w, http.StatusBadRequest, err.Error())
+		r.core.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	r.configMu.Lock()
@@ -821,7 +590,7 @@ func (r *Router) handleConfig(w http.ResponseWriter, req *http.Request) {
 		if u.Validate() == nil {
 			status = http.StatusConflict
 		}
-		r.writeError(w, status, err.Error())
+		r.core.WriteError(w, status, err.Error())
 		return
 	}
 	u.Version = v
@@ -830,73 +599,35 @@ func (r *Router) handleConfig(w http.ResponseWriter, req *http.Request) {
 	r.configMu.Unlock()
 
 	acked := 0
-	for _, p := range r.peers {
+	for _, p := range r.core.Peers {
 		if err := r.pushConfig(req.Context(), p, u); err != nil {
 			r.metrics.ConfigPushErrs.Add(1)
 			continue
 		}
 		acked++
 	}
-	r.writeJSON(w, http.StatusOK, ConfigFanout{Version: v, PeersAcked: acked, Peers: len(r.peers)})
+	ring.WriteJSON(w, http.StatusOK, ConfigFanout{Version: v, PeersAcked: acked, Peers: len(r.core.Peers)})
 }
 
 // pushConfig sends one stamped config update to a peer.
-func (r *Router) pushConfig(ctx context.Context, p *peer, u sentry.ConfigUpdate) error {
+func (r *Router) pushConfig(ctx context.Context, p *ring.Peer, u sentry.ConfigUpdate) error {
 	r.metrics.ConfigPushes.Add(1)
 	body, err := u.Encode()
 	if err != nil {
 		return err
 	}
-	attemptCtx, cancel := context.WithTimeout(ctx, r.cfg.Deadline)
-	defer cancel()
-	req, err := http.NewRequestWithContext(attemptCtx, "POST", "http://"+p.name+"/v1/config", bytes.NewReader(body))
+	status, _, err := r.core.Call(ctx, p, "POST", "/v1/config", "application/json", body)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("peer %s config: status %d", p.name, resp.StatusCode)
+	if status != http.StatusOK {
+		return fmt.Errorf("peer %s config: status %d", p.Name, status)
 	}
 	return nil
 }
 
-func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, `{"status":"ok"}`+"\n")
-}
-
-// handleReadyz: the router is ready while it can still absorb a batch —
-// which, thanks to the degraded fallback, is whenever the fallback
-// semaphore is not saturated, regardless of peer health.
-func (r *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	healthy := 0
-	for _, p := range r.peers {
-		if st, _ := p.brk.snapshot(); st == "closed" {
-			healthy++
-		}
-	}
-	status, state := http.StatusOK, "ready"
-	switch {
-	case r.closed.Load():
-		status, state = http.StatusServiceUnavailable, "shutting-down"
-	case len(r.fallbackSem) >= cap(r.fallbackSem) && healthy == 0:
-		status, state = http.StatusServiceUnavailable, "saturated"
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	fmt.Fprintf(w, `{"status":%q,"healthy_peers":%d,"peers":%d}`+"\n", state, healthy, len(r.peers))
-}
-
 func (r *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
-	r.writeJSON(w, http.StatusOK, r.Snapshot())
+	ring.WriteJSON(w, http.StatusOK, r.Snapshot())
 }
 
 func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -904,23 +635,8 @@ func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	r.WriteProm(w)
 }
 
-func (r *Router) peerStats() []PeerStats {
-	out := make([]PeerStats, len(r.peers))
-	for i, p := range r.peers {
-		st, opens := p.brk.snapshot()
-		out[i] = PeerStats{
-			Name:    p.name,
-			Breaker: st,
-			Opens:   opens,
-			Served:  p.served.Load(),
-			Errors:  p.errors.Load(),
-		}
-	}
-	return out
-}
-
 // Metrics exposes the counter block (tests).
 func (r *Router) Metrics() *Metrics { return &r.metrics }
 
 // PeerNames formats the peer list for logs.
-func (r *Router) PeerNames() string { return strings.Join(r.ring.Peers(), ",") }
+func (r *Router) PeerNames() string { return r.core.PeerNames() }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -483,11 +484,11 @@ func TestRouterProbeHealsRestartedPeer(t *testing.T) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			if st, _ := r.peers[0].brk.snapshot(); st == want {
+			if st, _ := r.core.Peers[0].Breaker(); st == want {
 				return
 			}
 			if time.Now().After(deadline) {
-				st, _ := r.peers[0].brk.snapshot()
+				st, _ := r.core.Peers[0].Breaker()
 				t.Fatalf("breaker stuck %s, want %s", st, want)
 			}
 			time.Sleep(2 * time.Millisecond)
@@ -537,4 +538,51 @@ func TestRouterProbeHealsRestartedPeer(t *testing.T) {
 	if r.Snapshot().ConfigPushes < 2 {
 		t.Fatalf("config pushes %d, want the fan-out push plus the probe re-push", r.Snapshot().ConfigPushes)
 	}
+}
+
+// TestRouterCallerCancelSparesPeer: a caller that gives up while a slow
+// peer is still working costs the caller its ack, never the peer its
+// record — no peer error is charged and the breaker stays closed, however
+// many callers disconnect.
+func TestRouterCallerCancelSparesPeer(t *testing.T) {
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		// Reading the body lets the server notice the disconnect.
+		io.Copy(io.Discard, req.Body)
+		select {
+		case <-req.Context().Done():
+		case <-time.After(5 * time.Second):
+		}
+		http.Error(w, `{"error":"slow"}`, http.StatusServiceUnavailable)
+	}))
+	defer slow.Close()
+	r, err := New(Config{
+		Peers:         []string{strings.TrimPrefix(slow.URL, "http://")},
+		Replicas:      1,
+		ProbeInterval: -1,
+		RetryBase:     time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	const callers = 5 // above the default breaker threshold of 3
+	for i := 0; i < callers; i++ {
+		device := fmt.Sprintf("dev-%05d", i)
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest("POST", "/v1/ingest?device="+device, bytes.NewReader(benignBatch(t, device)))
+		r.ServeHTTP(rec, req.WithContext(ctx))
+		cancel()
+		if rec.Code != http.StatusTooManyRequests {
+			t.Fatalf("caller %d: status %d, want 429 for a caller out of time: %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	st := r.Snapshot()
+	if st.PeerErrs != 0 || st.Peers[0].Errors != 0 || st.Peers[0].Breaker != "closed" {
+		t.Fatalf("caller cancellations charged the peer: peer_errors=%d peer=%+v", st.PeerErrs, st.Peers[0])
+	}
+	if st.Sheds != callers {
+		t.Fatalf("sheds %d, want %d", st.Sheds, callers)
+	}
+	checkAccounting(t, r)
 }

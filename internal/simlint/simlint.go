@@ -35,11 +35,11 @@
 // — is recognized and allowed.
 //
 // Serving packages (ServingPackages — currently internal/vetd, the
-// scan-before-install vetting service, internal/vetring, the verdict
-// ring router, internal/sentry, the streaming detection service, and
-// internal/sentring, the detection ingest router) are exempt from the
-// determinism rules only: they
-// run on the wall clock by design, measuring real latencies, enforcing
+// scan-before-install vetting service, internal/sentry, the streaming
+// detection service, internal/ring, the ring core both routers share,
+// and the two routers on it: internal/vetring for verdicts and
+// internal/sentring for detection ingest) are exempt from the
+// determinism rules only: they run on the wall clock by design, measuring real latencies, enforcing
 // real deadlines and owning their own goroutines. The robustness rules
 // and the math-rand ban still bind them, and the exemption is matched
 // on the package clause, never the directory.
@@ -49,12 +49,13 @@
 // and an http.Client composite literal without a Timeout field hangs
 // forever on a stuck peer — in a ring where peers are SIGKILLed on
 // purpose, an unbounded client turns one dead node into a wedged
-// caller. Serving packages are exempt (vetring's fault-injecting
+// caller. Serving packages are exempt (the ring core's fault-injecting
 // transport builds its peer clients deliberately, with explicit
 // timeouts the lint pass cannot type-check), tests are not covered,
-// and command binaries (package main) get this rule and no other:
-// a CLI legitimately reads the wall clock, but its HTTP calls must
-// still carry deadlines.
+// and command binaries (package main, plus their cmd/internal helper
+// packages such as ringproc) get this rule and no other: a CLI
+// legitimately reads the wall clock, but its HTTP calls must still
+// carry deadlines.
 //
 // The pass is built on the standard library's go/ast so it carries no
 // dependency beyond the toolchain; cmd/simlint is the CLI driver and the
@@ -136,18 +137,32 @@ var goExemptPackages = map[string]bool{
 // not its directory), so a simulation file cannot opt out by moving next
 // to serving code.
 var ServingPackages = map[string]bool{
-	"vetd":    true,
+	"vetd": true,
+	// vetring routes verdict requests across a ring of vetd peers; its
+	// production code lints clean, but its tests drive probes and
+	// restarted peers on the wall clock.
 	"vetring": true,
+	// ring is the core both ring routers share: health probes, retry
+	// backoff and circuit-breaker cooldowns are wall-clock by design,
+	// while placement stays a pure function of the key.
+	"ring": true,
 	// sentry serves the streaming fleet-scale detector: real HTTP ingest
 	// on real time, but every detection decision is a pure function of
 	// the device's own record stream (timestamps on the wire are
 	// virtual), so the exemption covers only the serving shell.
 	"sentry": true,
 	// sentring routes that detector's ingest across a ring of sentryd
-	// peers: health probes, retry backoff and circuit-breaker cooldowns
-	// are wall-clock by design, while batch placement stays a pure
-	// function of the device ID.
+	// peers: its tests drive probes on the wall clock, and its merged
+	// report ranges over the device map before sorting the rows.
 	"sentring": true,
+}
+
+// commandPackages are the helper packages of the command binaries
+// (under cmd/internal, importable only from cmd/): like package main
+// they live on the wall clock — ringproc spawns, SIGKILLs and restarts
+// ring processes on timers — so they get the binaries' rule set.
+var commandPackages = map[string]bool{
+	"ringproc": true,
 }
 
 // panicExemptPackages may keep bare panics: the invariant monitor is the
@@ -187,11 +202,12 @@ func LintFile(fset *token.FileSet, f *ast.File) []Diagnostic {
 	filename := fset.Position(f.Pos()).Filename
 	isTest := strings.HasSuffix(filename, "_test.go")
 
-	// Command binaries (package main) live on the wall clock by
-	// definition — flags, signal loops, progress output — so the
+	// Command binaries (package main) and their helper packages live on
+	// the wall clock by definition — flags, signal loops, progress
+	// output, process supervision — so the
 	// simulation rules do not apply. Their HTTP calls must still carry
 	// deadlines: naked-http-client is the one rule they keep.
-	if f.Name.Name == "main" {
+	if f.Name.Name == "main" || commandPackages[f.Name.Name] {
 		if !isTest {
 			lintNakedHTTP(f, report)
 		}

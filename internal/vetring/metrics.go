@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+
+	"repro/internal/ring"
 )
 
 // Metrics is the router's observability surface.
@@ -43,15 +45,6 @@ type Metrics struct {
 	FallbackAnalyses atomic.Uint64
 }
 
-// PeerStats is one peer's slice of the /stats snapshot.
-type PeerStats struct {
-	Name    string `json:"name"`
-	Breaker string `json:"breaker"`
-	Opens   uint64 `json:"breaker_opens"`
-	Served  uint64 `json:"served"`
-	Errors  uint64 `json:"errors"`
-}
-
 // Stats is the router's GET /stats JSON snapshot. Service is
 // "vetrouter", the discriminator load generators key on to pick the
 // right accounting invariant.
@@ -73,7 +66,7 @@ type Stats struct {
 
 	FallbackAnalyses uint64 `json:"fallback_analyses"`
 
-	Peers []PeerStats `json:"peers"`
+	Peers []ring.PeerStats `json:"peers"`
 }
 
 // WriteProm renders the router metrics in Prometheus text exposition
@@ -96,18 +89,7 @@ func (r *Router) WriteProm(w io.Writer) {
 	counter("vetrouter_probe_ok_total", "Successful health probes.", m.ProbeOK.Load())
 	counter("vetrouter_probe_fail_total", "Failed health probes.", m.ProbeFail.Load())
 	counter("vetrouter_fallback_analyses_total", "Local fallback analyses.", m.FallbackAnalyses.Load())
-	fmt.Fprintf(w, "# HELP vetrouter_peer_served_total Requests served per peer.\n# TYPE vetrouter_peer_served_total counter\n")
-	for _, p := range r.peerStats() {
-		fmt.Fprintf(w, "vetrouter_peer_served_total{peer=%q} %d\n", p.Name, p.Served)
-	}
-	fmt.Fprintf(w, "# HELP vetrouter_peer_breaker_open Peer breaker state (1 = not closed).\n# TYPE vetrouter_peer_breaker_open gauge\n")
-	for _, p := range r.peerStats() {
-		open := 0
-		if p.Breaker != "closed" {
-			open = 1
-		}
-		fmt.Fprintf(w, "vetrouter_peer_breaker_open{peer=%q,state=%q} %d\n", p.Name, p.Breaker, open)
-	}
+	r.core.WritePeerProm(w, "vetrouter", "Requests served per peer.")
 }
 
 // Snapshot assembles the current Stats.
@@ -128,6 +110,6 @@ func (r *Router) Snapshot() Stats {
 		ProbeOK:          m.ProbeOK.Load(),
 		ProbeFail:        m.ProbeFail.Load(),
 		FallbackAnalyses: m.FallbackAnalyses.Load(),
-		Peers:            r.peerStats(),
+		Peers:            r.core.PeerStats(),
 	}
 }

@@ -1,11 +1,11 @@
 // Package vetring is the distributed serving plane for the vetting
 // service: a consistent-hash router (cmd/vetrouter) that shards the
-// verdict keyspace across N vetd peers with R-way replication, plus the
-// failure machinery that keeps the ring answering while peers die —
-// per-request deadlines, bounded retries with seeded backoff, per-peer
-// circuit breakers fed by background health probes, and graceful
-// degradation to a local analysis when every replica for a key is
-// unreachable.
+// verdict keyspace across N vetd peers with R-way replication. The
+// placement, peer set, breakers, probes, backoff, fallback gate and
+// fault-injecting transport are the shared ring core (internal/ring);
+// this package adds the verdict semantics — sequential failover through
+// a key's replicas, bounded retry passes, and graceful degradation to a
+// local analysis when every replica for a key is unreachable.
 //
 // Verdict safety is structural, not best-effort: a verdict is a pure
 // function of (IR, tier), so replication can never serve a wrong answer
@@ -13,217 +13,110 @@
 // classifies every request into exactly one of replicated / degraded /
 // shed / failed (the accounting identity cmd/vetload -check enforces
 // under chaos) and stamps degraded verdicts instead of erroring.
-//
-// The network fault plane (faults.NetPlane) plugs in beneath the HTTP
-// clients as a per-peer RoundTripper, so request drops, latency spikes,
-// 5xx storms and partitions are injected between router and peer with
-// seeded determinism while the router code under test is byte-identical
-// to production.
 package vetring
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/defense"
 	"repro/internal/dexir"
 	"repro/internal/faults"
-	"repro/internal/simrand"
+	"repro/internal/ring"
 	"repro/internal/staticanalysis"
 	"repro/internal/vetd"
 )
 
-// Config parameterizes a Router.
+// Config parameterizes a Router. Every field except Tier and MaxBatch
+// is a setting of the shared ring core; ring.Options documents each one
+// and its default.
 type Config struct {
-	// Peers are the vetd node addresses (host:port), in ring order. The
-	// index of a peer in this slice is its identity for the fault plane's
-	// partition sets.
-	Peers []string
-	// Replicas is the replica set size per key (default 2, clamped to
-	// len(Peers)).
+	Peers    []string
 	Replicas int
-	// VNodes is the number of virtual ring points per peer (default 64).
-	VNodes int
+	VNodes   int
 	// Tier is the static analysis precision tier of the ring; part of
 	// every verdict key and of the degraded fallback.
 	Tier staticanalysis.Tier
 
-	// Deadline bounds each peer attempt (default 2s).
-	Deadline time.Duration
-	// Retries is the number of extra full passes over the replica set
-	// after the first (default 1). Between passes the router backs off
-	// exponentially with seeded jitter.
-	Retries int
-	// RetryBase is the first inter-pass backoff (default 25ms); pass k
-	// waits RetryBase<<(k-1), jittered ±50%.
+	Deadline  time.Duration
+	Retries   int
 	RetryBase time.Duration
 
-	// BreakerThreshold consecutive failures open a peer's circuit
-	// (default 3); BreakerCooldown is the open→half-open delay (default
-	// 1s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// ProbeInterval is the health-probe period per peer (default 250ms;
-	// negative disables probing).
-	ProbeInterval time.Duration
+	ProbeInterval    time.Duration
 
-	// FallbackConcurrency bounds concurrent local degraded analyses
-	// (default 4); beyond it the router sheds.
 	FallbackConcurrency int
-	// RetryAfter is the hint returned with 429 sheds (default 1s).
-	RetryAfter time.Duration
-	// MaxBatch bounds batch size (default 256); MaxBodyBytes bounds
-	// request bodies (default 16 MiB).
+	RetryAfter          time.Duration
+	// MaxBatch bounds batch size (default 256).
 	MaxBatch     int
 	MaxBodyBytes int64
 
-	// Seed feeds the backoff jitter stream (default 1).
-	Seed int64
-	// NetPlane, when non-nil, injects deterministic network faults
-	// beneath the peer HTTP clients. Nil in production.
-	NetPlane *faults.NetPlane
-	// Transport overrides the base HTTP transport (tests); nil uses a
-	// dedicated http.Transport per router.
+	Seed      int64
+	NetPlane  *faults.NetPlane
 	Transport http.RoundTripper
 }
 
-func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = 2
+func (c Config) options() ring.Options {
+	return ring.Options{
+		Peers:               c.Peers,
+		Replicas:            c.Replicas,
+		VNodes:              c.VNodes,
+		Deadline:            c.Deadline,
+		Retries:             c.Retries,
+		RetryBase:           c.RetryBase,
+		BreakerThreshold:    c.BreakerThreshold,
+		BreakerCooldown:     c.BreakerCooldown,
+		ProbeInterval:       c.ProbeInterval,
+		FallbackConcurrency: c.FallbackConcurrency,
+		RetryAfter:          c.RetryAfter,
+		MaxBodyBytes:        c.MaxBodyBytes,
+		Seed:                c.Seed,
+		NetPlane:            c.NetPlane,
+		Transport:           c.Transport,
 	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 2 * time.Second
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 1
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 25 * time.Millisecond
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Second
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = 250 * time.Millisecond
-	}
-	if c.FallbackConcurrency <= 0 {
-		c.FallbackConcurrency = 4
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 16 << 20
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
-// peer is one vetd node as the router sees it.
-type peer struct {
-	name   string
-	client *http.Client
-	brk    *breaker
-
-	served atomic.Uint64
-	errors atomic.Uint64
 }
 
 // Router is the ring front end, an http.Handler mirroring vetd's API
 // surface (POST /v1/vet, POST /v1/vet/batch, GET /healthz, /readyz,
 // /stats, /metrics) so clients cannot tell a node from the ring.
 type Router struct {
-	cfg   Config
-	ring  *Ring
-	peers []*peer
-	mux   *http.ServeMux
+	core     *ring.Core
+	tier     staticanalysis.Tier
+	maxBatch int
+	mux      *http.ServeMux
 
 	metrics Metrics
-
-	// jitterMu serializes the seeded backoff stream.
-	jitterMu  sync.Mutex
-	jitterRng *simrand.Source
-
-	fallbackSem chan struct{}
-
-	probeStop chan struct{}
-	probeWG   sync.WaitGroup
-	closed    atomic.Bool
 }
 
 // New builds a Router over cfg.Peers and starts its health probes.
 func New(cfg Config) (*Router, error) {
-	cfg = cfg.withDefaults()
-	ring, err := NewRing(cfg.Peers, cfg.VNodes, cfg.Replicas)
+	core, err := ring.NewCore(cfg.options(), "vetring/backoff")
 	if err != nil {
 		return nil, err
 	}
-	base := cfg.Transport
-	if base == nil {
-		base = &http.Transport{MaxIdleConnsPerHost: 16}
-	}
-	r := &Router{
-		cfg:         cfg,
-		ring:        ring,
-		jitterRng:   simrand.New(cfg.Seed).Derive("vetring/backoff"),
-		fallbackSem: make(chan struct{}, cfg.FallbackConcurrency),
-		probeStop:   make(chan struct{}),
-	}
-	for i, name := range cfg.Peers {
-		r.peers = append(r.peers, &peer{
-			name: name,
-			client: &http.Client{
-				Transport: newPeerTransport(base, cfg.NetPlane, i),
-				Timeout:   cfg.Deadline,
-			},
-			brk: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		})
+	r := &Router{core: core, tier: cfg.Tier, maxBatch: cfg.MaxBatch}
+	if r.maxBatch <= 0 {
+		r.maxBatch = 256
 	}
 	r.mux = http.NewServeMux()
 	r.mux.HandleFunc("POST /v1/vet", r.handleVet)
 	r.mux.HandleFunc("POST /v1/vet/batch", r.handleBatch)
-	r.mux.HandleFunc("GET /healthz", r.handleHealthz)
-	r.mux.HandleFunc("GET /readyz", r.handleReadyz)
+	r.mux.HandleFunc("GET /healthz", ring.Healthz)
+	r.mux.HandleFunc("GET /readyz", core.Readyz)
 	r.mux.HandleFunc("GET /stats", r.handleStats)
 	r.mux.HandleFunc("GET /metrics", r.handleMetrics)
-	if cfg.ProbeInterval > 0 {
-		for i := range r.peers {
-			r.probeWG.Add(1)
-			go r.probeLoop(i)
-		}
-	}
+	core.StartProbes(&r.metrics.ProbeOK, &r.metrics.ProbeFail, nil)
 	return r, nil
 }
 
 // Close stops the health probes; in-flight requests finish normally.
-func (r *Router) Close() {
-	if r.closed.CompareAndSwap(false, true) {
-		close(r.probeStop)
-		r.probeWG.Wait()
-	}
-}
+func (r *Router) Close() { r.core.Close() }
 
 // ServeHTTP implements http.Handler.
 func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
@@ -231,54 +124,7 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 }
 
 // Ring exposes the placement function (tests and topology dumps).
-func (r *Router) Ring() *Ring { return r.ring }
-
-// probeLoop polls one peer's /readyz and feeds its breaker, so dead
-// peers are discovered between requests and recovered peers readmitted
-// within one cooldown.
-func (r *Router) probeLoop(i int) {
-	defer r.probeWG.Done()
-	p := r.peers[i]
-	t := time.NewTicker(r.cfg.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.probeStop:
-			return
-		case <-t.C:
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeInterval)
-		req, err := http.NewRequestWithContext(ctx, "GET", "http://"+p.name+"/readyz", nil)
-		if err != nil {
-			cancel()
-			continue
-		}
-		resp, err := p.client.Do(req)
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		cancel()
-		if err == nil && resp.StatusCode == http.StatusOK {
-			r.metrics.ProbeOK.Add(1)
-			p.brk.onSuccess()
-		} else {
-			r.metrics.ProbeFail.Add(1)
-			p.brk.onFailure()
-		}
-	}
-}
-
-// backoff returns the jittered inter-pass delay for retry pass k (1-based):
-// RetryBase<<(k-1), jittered uniformly in [0.5x, 1.5x], drawn from the
-// router's seeded stream.
-func (r *Router) backoff(k int) time.Duration {
-	d := r.cfg.RetryBase << (k - 1)
-	r.jitterMu.Lock()
-	j := 0.5 + r.jitterRng.Float64()
-	r.jitterMu.Unlock()
-	return time.Duration(float64(d) * j)
-}
+func (r *Router) Ring() *ring.Ring { return r.core.Ring }
 
 // routeResult is the classified outcome of one routed request.
 type routeResult struct {
@@ -298,21 +144,20 @@ func (r *Router) routeOne(ctx context.Context, app *dexir.App) routeResult {
 		r.metrics.Failed.Add(1)
 		return routeResult{status: http.StatusInternalServerError, errMsg: err.Error()}
 	}
-	key := vetd.VerdictKey(hash, r.cfg.Tier)
-	replicas := r.ring.Replicas(key)
+	key := vetd.VerdictKey(hash, r.tier)
+	replicas := r.core.Ring.Replicas(key)
 
 	body, err := json.Marshal(vetd.VetRequest{App: app})
 	if err != nil {
 		r.metrics.Failed.Add(1)
 		return routeResult{status: http.StatusInternalServerError, errMsg: err.Error()}
 	}
+	path := "/v1/vet?deadline_ms=" + strconv.FormatInt(r.core.Opt.Deadline.Milliseconds(), 10)
 
-	for pass := 0; pass <= r.cfg.Retries; pass++ {
+	for pass := 0; pass <= r.core.Opt.Retries; pass++ {
 		if pass > 0 {
 			r.metrics.Retries.Add(1)
-			select {
-			case <-time.After(r.backoff(pass)):
-			case <-ctx.Done():
+			if !r.core.Backoff(ctx, pass) {
 				return r.fallback(ctx, app, hash)
 			}
 		}
@@ -320,33 +165,29 @@ func (r *Router) routeOne(ctx context.Context, app *dexir.App) routeResult {
 			if ri > 0 {
 				r.metrics.Failovers.Add(1)
 			}
-			p := r.peers[pi]
-			if !p.brk.allow() {
+			p := r.core.Peers[pi]
+			if !p.Allow() {
 				continue
 			}
-			v, status, err := r.tryPeer(ctx, p, body)
+			v, status, err := r.tryPeer(ctx, p, path, body)
 			switch {
-			case err != nil:
-				p.errors.Add(1)
-				r.metrics.PeerErrs.Add(1)
-				p.brk.onFailure()
-			case status == http.StatusOK:
-				p.brk.onSuccess()
-				p.served.Add(1)
+			case err == nil && status == http.StatusOK:
+				p.Served()
 				r.metrics.Replicated.Add(1)
-				v.Peer = p.name
+				v.Peer = p.Name
 				return routeResult{verdict: v, status: http.StatusOK}
-			case status == http.StatusTooManyRequests:
+			case err == nil && status == http.StatusTooManyRequests:
 				// The peer is alive and shedding: failover without
 				// breaker damage — opening the circuit on load would
 				// amplify the overload onto the remaining replicas.
 				r.metrics.Peer429s.Add(1)
-				p.brk.onSuccess()
+				p.Answered()
 			default:
-				// 5xx (injected storms included) and unexpected codes.
-				p.errors.Add(1)
-				r.metrics.PeerErrs.Add(1)
-				p.brk.onFailure()
+				// Transport errors, 5xx (injected storms included) and
+				// unexpected codes.
+				if p.Failed(ctx) {
+					r.metrics.PeerErrs.Add(1)
+				}
 			}
 		}
 	}
@@ -354,51 +195,31 @@ func (r *Router) routeOne(ctx context.Context, app *dexir.App) routeResult {
 }
 
 // tryPeer sends one attempt to p. The returned error covers transport
-// failures only; HTTP-level failures come back as the status.
-func (r *Router) tryPeer(ctx context.Context, p *peer, body []byte) (vetd.Verdict, int, error) {
-	attemptCtx, cancel := context.WithTimeout(ctx, r.cfg.Deadline)
-	defer cancel()
-	url := "http://" + p.name + "/v1/vet?deadline_ms=" + strconv.FormatInt(r.cfg.Deadline.Milliseconds(), 10)
-	req, err := http.NewRequestWithContext(attemptCtx, "POST", url, bytes.NewReader(body))
-	if err != nil {
-		return vetd.Verdict{}, 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return vetd.Verdict{}, 0, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return vetd.Verdict{}, resp.StatusCode, nil
+// and decode failures only; HTTP-level failures come back as the status.
+func (r *Router) tryPeer(ctx context.Context, p *ring.Peer, path string, body []byte) (vetd.Verdict, int, error) {
+	status, resp, err := r.core.Call(ctx, p, "POST", path, "application/json", body)
+	if err != nil || status != http.StatusOK {
+		return vetd.Verdict{}, status, err
 	}
 	var v vetd.Verdict
-	if err := json.NewDecoder(io.LimitReader(resp.Body, r.cfg.MaxBodyBytes)).Decode(&v); err != nil {
+	if err := json.Unmarshal(resp, &v); err != nil {
 		return vetd.Verdict{}, 0, fmt.Errorf("decode peer verdict: %w", err)
 	}
 	return v, http.StatusOK, nil
 }
 
 // fallback computes the verdict locally when every replica is
-// unreachable: bounded by the fallback semaphore (full → shed), stamped
+// unreachable: bounded by the fallback gate (full → shed), stamped
 // Degraded — the ring answers correctly but admits it routed nothing.
 func (r *Router) fallback(ctx context.Context, app *dexir.App, hash string) routeResult {
-	select {
-	case r.fallbackSem <- struct{}{}:
-	default:
+	release, shed := r.core.EnterFallback(ctx)
+	if shed != "" {
 		r.metrics.Sheds.Add(1)
-		return routeResult{status: http.StatusTooManyRequests, errMsg: "ring unreachable and local fallback saturated"}
+		return routeResult{status: http.StatusTooManyRequests, errMsg: shed}
 	}
-	defer func() { <-r.fallbackSem }()
-	if ctx.Err() != nil {
-		r.metrics.Sheds.Add(1)
-		return routeResult{status: http.StatusTooManyRequests, errMsg: "deadline exhausted before fallback"}
-	}
+	defer release()
 	r.metrics.FallbackAnalyses.Add(1)
-	vv, err := defense.VetTier(app, r.cfg.Tier)
+	vv, err := defense.VetTier(app, r.tier)
 	if err != nil {
 		r.metrics.Failed.Add(1)
 		return routeResult{status: http.StatusInternalServerError, errMsg: err.Error()}
@@ -409,52 +230,36 @@ func (r *Router) fallback(ctx context.Context, app *dexir.App, hash string) rout
 	return routeResult{verdict: v, status: http.StatusOK}
 }
 
-func (r *Router) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func (r *Router) writeError(w http.ResponseWriter, status int, msg string) {
-	resp := vetd.ErrorResponse{Error: msg}
-	if status == http.StatusTooManyRequests {
-		sec := int((r.cfg.RetryAfter + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.Itoa(sec))
-		resp.RetryAfterSec = sec
-	}
-	r.writeJSON(w, status, resp)
-}
-
 func (r *Router) handleVet(w http.ResponseWriter, req *http.Request) {
 	var vr vetd.VetRequest
-	if err := json.NewDecoder(io.LimitReader(req.Body, r.cfg.MaxBodyBytes)).Decode(&vr); err != nil {
+	if err := json.NewDecoder(io.LimitReader(req.Body, r.core.Opt.MaxBodyBytes)).Decode(&vr); err != nil {
 		r.metrics.BadRequests.Add(1)
-		r.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		r.core.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	if vr.App == nil {
 		r.metrics.BadRequests.Add(1)
-		r.writeError(w, http.StatusBadRequest, "missing app")
+		r.core.WriteError(w, http.StatusBadRequest, "missing app")
 		return
 	}
 	res := r.routeOne(req.Context(), vr.App)
 	if res.status != http.StatusOK {
-		r.writeError(w, res.status, res.errMsg)
+		r.core.WriteError(w, res.status, res.errMsg)
 		return
 	}
-	r.writeJSON(w, http.StatusOK, res.verdict)
+	ring.WriteJSON(w, http.StatusOK, res.verdict)
 }
 
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	var br vetd.BatchRequest
-	if err := json.NewDecoder(io.LimitReader(req.Body, r.cfg.MaxBodyBytes)).Decode(&br); err != nil {
+	if err := json.NewDecoder(io.LimitReader(req.Body, r.core.Opt.MaxBodyBytes)).Decode(&br); err != nil {
 		r.metrics.BadRequests.Add(1)
-		r.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		r.core.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	if len(br.Apps) == 0 || len(br.Apps) > r.cfg.MaxBatch {
+	if len(br.Apps) == 0 || len(br.Apps) > r.maxBatch {
 		r.metrics.BadRequests.Add(1)
-		r.writeError(w, http.StatusBadRequest, fmt.Sprintf("batch size must be 1..%d", r.cfg.MaxBatch))
+		r.core.WriteError(w, http.StatusBadRequest, fmt.Sprintf("batch size must be 1..%d", r.maxBatch))
 		return
 	}
 	resp := vetd.BatchResponse{Verdicts: make([]vetd.BatchItem, len(br.Apps))}
@@ -472,34 +277,11 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		v := res.verdict
 		resp.Verdicts[i] = vetd.BatchItem{Status: http.StatusOK, Verdict: &v}
 	}
-	r.writeJSON(w, http.StatusOK, resp)
-}
-
-func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	fmt.Fprintf(w, `{"status":"ok"}`+"\n")
-}
-
-// handleReadyz: the router is ready while it can still answer — which,
-// thanks to the degraded fallback, is whenever the fallback semaphore is
-// not saturated, regardless of peer health.
-func (r *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	healthy := 0
-	for _, p := range r.peers {
-		if st, _ := p.brk.snapshot(); st == "closed" {
-			healthy++
-		}
-	}
-	status, state := http.StatusOK, "ready"
-	if len(r.fallbackSem) >= cap(r.fallbackSem) && healthy == 0 {
-		status, state = http.StatusServiceUnavailable, "saturated"
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	fmt.Fprintf(w, `{"status":%q,"healthy_peers":%d,"peers":%d}`+"\n", state, healthy, len(r.peers))
+	ring.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
-	r.writeJSON(w, http.StatusOK, r.Snapshot())
+	ring.WriteJSON(w, http.StatusOK, r.Snapshot())
 }
 
 func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -507,23 +289,8 @@ func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	r.WriteProm(w)
 }
 
-func (r *Router) peerStats() []PeerStats {
-	out := make([]PeerStats, len(r.peers))
-	for i, p := range r.peers {
-		st, opens := p.brk.snapshot()
-		out[i] = PeerStats{
-			Name:    p.name,
-			Breaker: st,
-			Opens:   opens,
-			Served:  p.served.Load(),
-			Errors:  p.errors.Load(),
-		}
-	}
-	return out
-}
-
 // Metrics exposes the counter block (tests).
 func (r *Router) Metrics() *Metrics { return &r.metrics }
 
 // PeerNames formats the peer list for logs.
-func (r *Router) PeerNames() string { return strings.Join(r.ring.Peers(), ",") }
+func (r *Router) PeerNames() string { return r.core.PeerNames() }

@@ -2,8 +2,10 @@ package vetring
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -365,11 +367,11 @@ func TestRouterProbesRecoverPeers(t *testing.T) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			if st, _ := r.peers[0].brk.snapshot(); st == want {
+			if st, _ := r.core.Peers[0].Breaker(); st == want {
 				return
 			}
 			if time.Now().After(deadline) {
-				st, _ := r.peers[0].brk.snapshot()
+				st, _ := r.core.Peers[0].Breaker()
 				t.Fatalf("breaker stuck %s, want %s", st, want)
 			}
 			time.Sleep(2 * time.Millisecond)
@@ -394,5 +396,109 @@ func TestRouterProbesRecoverPeers(t *testing.T) {
 	waitFor("closed")
 	if r.Snapshot().ProbeOK == 0 {
 		t.Fatal("probe successes not counted")
+	}
+}
+
+// TestRouterCallerCancelSparesPeer: a caller that gives up while a slow
+// peer is still working costs the caller its answer, never the peer its
+// record — no peer error is charged and the breaker stays closed, however
+// many callers disconnect.
+func TestRouterCallerCancelSparesPeer(t *testing.T) {
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		// Reading the body lets the server notice the disconnect.
+		io.Copy(io.Discard, req.Body)
+		select {
+		case <-req.Context().Done():
+		case <-time.After(5 * time.Second):
+		}
+		http.Error(w, `{"error":"slow"}`, http.StatusServiceUnavailable)
+	}))
+	defer slow.Close()
+	r, err := New(Config{
+		Peers:         []string{strings.TrimPrefix(slow.URL, "http://")},
+		Replicas:      1,
+		ProbeInterval: -1,
+		RetryBase:     time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	body, err := json.Marshal(vetd.VetRequest{App: corpus(t, 1)[0].IR})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 5 // above the default breaker threshold of 3
+	for i := 0; i < callers; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		rec := httptest.NewRecorder()
+		r.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/vet", bytes.NewReader(body)).WithContext(ctx))
+		cancel()
+		if rec.Code != http.StatusTooManyRequests {
+			t.Fatalf("caller %d: status %d, want 429 for a caller out of time: %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	st := r.Snapshot()
+	if st.PeerErrors != 0 || st.Peers[0].Errors != 0 || st.Peers[0].Breaker != "closed" {
+		t.Fatalf("caller cancellations charged the peer: peer_errors=%d peer=%+v", st.PeerErrors, st.Peers[0])
+	}
+	if st.Sheds != callers {
+		t.Fatalf("sheds %d, want %d", st.Sheds, callers)
+	}
+	checkAccounting(t, r)
+}
+
+// TestRouterHTTPSurface pins the router's operator surface: bad requests
+// are rejected before classification, and /healthz, /readyz, /stats and
+// /metrics answer under their vetrouter names.
+func TestRouterHTTPSurface(t *testing.T) {
+	r, _ := testRing(t, 2, staticanalysis.Tier(0), func(c *Config) { c.MaxBatch = 2 })
+	if rec := routePost(t, r, "/v1/vet", vetd.VetRequest{}); rec.Code != http.StatusBadRequest {
+		t.Fatalf("missing app: status %d", rec.Code)
+	}
+	bad := httptest.NewRecorder()
+	r.ServeHTTP(bad, httptest.NewRequest("POST", "/v1/vet/batch", strings.NewReader("{")))
+	if bad.Code != http.StatusBadRequest {
+		t.Fatalf("malformed batch: status %d", bad.Code)
+	}
+	apps := []*dexir.App{corpus(t, 1)[0].IR, nil, nil}
+	if rec := routePost(t, r, "/v1/vet/batch", vetd.BatchRequest{Apps: apps}); rec.Code != http.StatusBadRequest {
+		t.Fatalf("oversized batch: status %d", rec.Code)
+	}
+	if rec := routePost(t, r, "/v1/vet/batch", vetd.BatchRequest{Apps: apps[:2]}); rec.Code != http.StatusOK {
+		t.Fatalf("batch with a nil item: status %d", rec.Code)
+	}
+	if st := r.Snapshot(); st.BadRequests != 4 || st.Requests != 1 {
+		t.Fatalf("bad requests %d, requests %d; want 4 and 1", st.BadRequests, st.Requests)
+	}
+	checkAccounting(t, r)
+
+	get := func(path string) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		r.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, rec.Code)
+		}
+		return rec.Body.String()
+	}
+	if body := get("/healthz"); !strings.Contains(body, `"ok"`) {
+		t.Fatalf("/healthz: %s", body)
+	}
+	if body := get("/readyz"); !strings.Contains(body, `"healthy_peers":2`) {
+		t.Fatalf("/readyz: %s", body)
+	}
+	var st Stats
+	if err := json.Unmarshal([]byte(get("/stats")), &st); err != nil || st.Service != "vetrouter" || len(st.Peers) != 2 {
+		t.Fatalf("/stats: %+v (%v)", st, err)
+	}
+	prom := get("/metrics")
+	for _, want := range []string{"vetrouter_requests_total 1\n", "vetrouter_bad_requests_total 4\n", "vetrouter_peer_served_total{peer=", "vetrouter_peer_breaker_open{peer="} {
+		if !strings.Contains(prom, want) {
+			t.Fatalf("/metrics lacks %q:\n%s", want, prom)
+		}
+	}
+	if r.PeerNames() != strings.Join(r.Ring().Peers(), ",") || r.Metrics().Requests.Load() != 1 {
+		t.Fatalf("peer names %q, requests %d", r.PeerNames(), r.Metrics().Requests.Load())
 	}
 }

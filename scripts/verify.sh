@@ -6,9 +6,9 @@
 #
 # Steps: build, unit tests, go vet, the simlint determinism/robustness
 # pass, a race-detector pass over the short tests, a coverage floor on
-# the experiment-harness core packages, the streaming detector and the
-# fleet generator, the scheduler parity diff plus a 200-device fleet-sweep
-# parity smoke, a vetd serving smoke (checked vetload replay +
+# the experiment-harness core packages, the streaming detector, the
+# fleet generator and the ring routers, the scheduler parity diff plus
+# a 200-device fleet-sweep parity smoke, a vetd serving smoke (checked vetload replay +
 # clean SIGINT shutdown), a distributed ring smoke (3 vetd peers behind
 # vetrouter, chaos kill/restart schedule, zero verdict mismatches
 # required), a sentryd smoke (a 2000-device labeled fleet replay
@@ -38,16 +38,19 @@ go run ./cmd/simlint
 echo "==> go test -race -short ./..."
 go test -race -short ./...
 
-# Coverage floor for the experiment-harness core, the streaming detector
-# and the fleet generator: the journaled runners and the sweep-wide
-# invariant aggregation are the crash-safety layer, the sentry
-# engine/server carry the accounting and shard-invariance contracts, and
-# the fleet generator carries the population-determinism contract — a
-# drop below the floor means those paths lost their tests. All packages
-# currently sit well above it (~78% / ~85% / ~83% / ~95%).
+# Coverage floor for the experiment-harness core, the streaming detector,
+# the fleet generator and the ring routers: the journaled runners and the
+# sweep-wide invariant aggregation are the crash-safety layer, the sentry
+# engine/server carry the accounting and shard-invariance contracts, the
+# fleet generator carries the population-determinism contract, and the
+# ring core plus its two routers carry placement, breaker and failover
+# semantics — a drop below the floor means those paths lost their tests.
+# All packages currently sit above it (~78% / ~85% / ~83% / ~95% /
+# ~92% / ~69% / ~78%).
 COVER_FLOOR=65
-echo "==> go test -cover ./internal/experiment ./internal/invariant ./internal/sentry ./internal/fleet (floor ${COVER_FLOOR}%)"
-go test -cover ./internal/experiment ./internal/invariant ./internal/sentry ./internal/fleet | tee /tmp/verify-cover.$$
+COVER_PKGS="./internal/experiment ./internal/invariant ./internal/sentry ./internal/fleet ./internal/ring ./internal/vetring ./internal/sentring"
+echo "==> go test -cover $COVER_PKGS (floor ${COVER_FLOOR}%)"
+go test -cover $COVER_PKGS | tee /tmp/verify-cover.$$
 awk -v floor="$COVER_FLOOR" '
 	/coverage:/ {
 		for (i = 1; i <= NF; i++) if ($i == "coverage:") pct = $(i + 1)
