@@ -1,6 +1,7 @@
 package binder
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -75,6 +76,41 @@ func TestCallDeliversWithLatency(t *testing.T) {
 	}
 	if tx.SentAt != 0 || tx.DeliveredAt != 5*time.Millisecond {
 		t.Fatalf("timestamps = (%v,%v), want (0,5ms)", tx.SentAt, tx.DeliveredAt)
+	}
+}
+
+// TestCallLabelFormat pins the delivery event label, which simclock traces
+// print, byte for byte to its fmt.Sprintf reference form.
+func TestCallLabelFormat(t *testing.T) {
+	bus, clock := newTestBus(t, nil)
+	var labels []string
+	clock.SetTrace(func(_ time.Duration, label string) { labels = append(labels, label) })
+	calls := []struct {
+		from, to ProcessID
+		method   string
+	}{
+		{"app", SystemServer, "addView"},
+		{"com.evil/.Overlay", "sys%ui", "removeView"},
+		{"äpp→", "x", ""},
+	}
+	for _, c := range calls {
+		if err := bus.Register(c.to, func(Transaction) {}); err != nil {
+			t.Fatalf("Register: %v", err)
+		}
+		if _, err := bus.Call(c.from, c.to, c.method, nil); err != nil {
+			t.Fatalf("Call: %v", err)
+		}
+	}
+	if err := clock.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(labels) != len(calls) {
+		t.Fatalf("traced %d events, want %d", len(labels), len(calls))
+	}
+	for i, c := range calls {
+		if want := fmt.Sprintf("binder:%s→%s.%s", c.from, c.to, c.method); labels[i] != want {
+			t.Fatalf("label %d = %q, want %q", i, labels[i], want)
+		}
 	}
 }
 

@@ -7,38 +7,51 @@ package simrand
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
+	"strconv"
 	"time"
 )
 
 // Source is a deterministic random stream. It wraps math/rand with
-// domain-specific draws used across the simulator.
+// domain-specific draws used across the simulator; its generator yields
+// exactly rand.NewSource's stream for the same seed, seeded lazily.
 type Source struct {
 	rng *rand.Rand
 }
 
 // New returns a Source seeded with seed.
 func New(seed int64) *Source {
-	return &Source{rng: rand.New(rand.NewSource(seed))}
+	return &Source{rng: rand.New(newLazySource(seed))}
 }
 
 // Derive returns a child Source whose seed is a hash of the parent seed
 // space and name. Distinct names yield independent streams, so adding draws
 // to one component does not perturb another ("seed hygiene").
 func (s *Source) Derive(name string) *Source {
-	h := fnv.New64a()
-	// Writing to an fnv hash never fails.
-	_, _ = h.Write([]byte(name))
-	mix := int64(h.Sum64()) //nolint:gosec // deliberate wraparound mix
+	mix := int64(fnv64a(name)) //nolint:gosec // deliberate wraparound mix
 	return New(mix ^ s.rng.Int63())
 }
 
 // DeriveIndexed returns a child stream for name[i]; convenient for
 // per-participant or per-device streams.
 func (s *Source) DeriveIndexed(name string, i int) *Source {
-	return s.Derive(fmt.Sprintf("%s[%d]", name, i))
+	return s.Derive(name + "[" + strconv.Itoa(i) + "]")
+}
+
+// fnv64a is the 64-bit FNV-1a hash of name, equal to hash/fnv's New64a
+// sum without its allocations.
+func fnv64a(name string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= prime64
+	}
+	return h
 }
 
 // Float64 draws from [0,1).

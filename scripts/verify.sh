@@ -7,9 +7,10 @@
 # Steps: build, unit tests, go vet, the simlint determinism/robustness
 # pass, a race-detector pass over the short tests, a coverage floor on
 # the experiment-harness core packages, the streaming detector, the
-# fleet generator and the ring routers, the scheduler parity diff plus
-# a 200-device fleet-sweep parity smoke, a vetd serving smoke (checked vetload replay +
-# clean SIGINT shutdown), a distributed ring smoke (3 vetd peers behind
+# fleet generator, the ring routers and the simulator RNG, a short fuzz
+# of the lazily seeded RNG source against math/rand, the scheduler
+# parity diff plus a 200-device fleet-sweep parity smoke, a vetd serving
+# smoke (checked vetload replay + clean SIGINT shutdown), a distributed ring smoke (3 vetd peers behind
 # vetrouter, chaos kill/restart schedule, zero verdict mismatches
 # required), a sentryd smoke (a 2000-device labeled fleet replay
 # that must detect every planted attacker with zero false positives), a
@@ -39,16 +40,17 @@ echo "==> go test -race -short ./..."
 go test -race -short ./...
 
 # Coverage floor for the experiment-harness core, the streaming detector,
-# the fleet generator and the ring routers: the journaled runners and the
-# sweep-wide invariant aggregation are the crash-safety layer, the sentry
-# engine/server carry the accounting and shard-invariance contracts, the
-# fleet generator carries the population-determinism contract, and the
-# ring core plus its two routers carry placement, breaker and failover
-# semantics — a drop below the floor means those paths lost their tests.
-# All packages currently sit above it (~78% / ~85% / ~83% / ~95% /
-# ~92% / ~69% / ~78%).
+# the fleet generator, the ring routers and the simulator RNG: the
+# journaled runners and the sweep-wide invariant aggregation are the
+# crash-safety layer, the sentry engine/server carry the accounting and
+# shard-invariance contracts, the fleet generator carries the
+# population-determinism contract, the ring core plus its two routers
+# carry placement, breaker and failover semantics, and simrand carries
+# every simulated latency stream — a drop below the floor means those
+# paths lost their tests. All packages currently sit above it (~78% /
+# ~85% / ~83% / ~95% / ~92% / ~69% / ~78% / ~99%).
 COVER_FLOOR=65
-COVER_PKGS="./internal/experiment ./internal/invariant ./internal/sentry ./internal/fleet ./internal/ring ./internal/vetring ./internal/sentring"
+COVER_PKGS="./internal/experiment ./internal/invariant ./internal/sentry ./internal/fleet ./internal/ring ./internal/vetring ./internal/sentring ./internal/simrand"
 echo "==> go test -cover $COVER_PKGS (floor ${COVER_FLOOR}%)"
 go test -cover $COVER_PKGS | tee /tmp/verify-cover.$$
 awk -v floor="$COVER_FLOOR" '
@@ -60,6 +62,12 @@ awk -v floor="$COVER_FLOOR" '
 	END { exit bad }
 ' /tmp/verify-cover.$$
 rm -f /tmp/verify-cover.$$
+
+# simrand's lazily seeded source must reproduce math/rand's stream for
+# every seed; the committed corpus runs with the unit tests, and this
+# short fuzz explores seeds and draw counts beyond it.
+echo "==> go test -fuzz FuzzLazySource -fuzztime 10s ./internal/simrand"
+go test -run '^$' -fuzz FuzzLazySource -fuzztime 10s ./internal/simrand
 
 # Parallel-scheduler contract: the full suite must render byte-identically
 # at one worker and four. Any diff means a trial still draws from a shared
